@@ -36,7 +36,6 @@ pub const END_TO_END: &[(&str, &str)] = &[
     ("setup_s", "s"),
     ("train_s", "s"),
     ("serve_p50_ms", "ms"),
-    ("serve_max_rps", "rps"),
     ("burst_p50_ms", "ms"),
     ("loop_visible_ms", "ms"),
 ];
@@ -80,6 +79,7 @@ pub const PER_LAYER: &[(&str, &str)] = &[
     ("serve.p90_ms", "ms"),
     ("serve.open_p50_ms", "ms"),
     ("serve.open_p99_ms", "ms"),
+    ("serve.max_rps", "rps"),
     ("burst.p90_ms", "ms"),
     ("serve.inproc_ms", "ms"),
     ("serve.protocol_ms", "ms"),

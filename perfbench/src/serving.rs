@@ -34,11 +34,11 @@ pub const WARMUP_BURSTS: usize = 5;
 /// enough for a p99 with ten samples beyond it.
 pub const OPEN_RATE: f64 = 250.0;
 pub const OPEN_REQUESTS: usize = 1000;
-/// `serve_max_rps` is the throughput under an open-loop offer above what
-/// either workload's server sustains on one kernel thread (about 1000/s
-/// for `mnist-usps`, 750/s for `visda`). A ladder of fixed rates with a
-/// p99 limit was tried first: rates near capacity passed on some runs and
-/// failed on others, and the reported rate jumped by a whole rung.
+/// `serve.max_rps` is the throughput under an open-loop offer above what
+/// either workload's server sustains on one kernel thread (850–1250/s
+/// measured on 2 vCPUs). A ladder of fixed rates with a p99 limit was
+/// tried first: rates near capacity passed on some runs and failed on
+/// others, and the reported rate jumped by a whole rung.
 pub const SATURATION_RATE: f64 = 3000.0;
 pub const SATURATION_REQUESTS: usize = 1000;
 /// Saturation runs, each on a fresh connection; the median is reported.
@@ -316,7 +316,7 @@ pub fn single(
         rps.push(out.throughput());
     }
     report.note_distribution("serve-single saturation throughput", "rps", &mut rps);
-    report.put_median("serve_max_rps", "rps", &mut rps);
+    report.put_median("serve.max_rps", "rps", &mut rps);
     Ok(())
 }
 
