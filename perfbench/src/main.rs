@@ -37,7 +37,6 @@ pub const END_TO_END: &[(&str, &str)] = &[
     ("train_s", "s"),
     ("serve_p50_ms", "ms"),
     ("burst_p50_ms", "ms"),
-    ("loop_visible_ms", "ms"),
 ];
 
 /// The per-layer metrics of the traced run, as `BENCHMARK.json` lists them.
@@ -87,6 +86,7 @@ pub const PER_LAYER: &[(&str, &str)] = &[
     ("serve.batch_size_mean", "requests"),
     ("serve.groups_per_flush", "groups"),
     ("serve.registry_load_ms", "ms"),
+    ("loop.visible_ms", "ms"),
     ("loop.ack_p50_ms", "ms"),
     ("loop.ack_p75_ms", "ms"),
     ("loop.read_p50_ms", "ms"),

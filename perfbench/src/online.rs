@@ -40,7 +40,7 @@ pub const READ_RATE: f64 = 100.0;
 pub const ACK_TAIL: f64 = 75.0;
 pub const READ_TAIL: f64 = 95.0;
 /// Cold-start cycles before the main loop: each adds one bootstrap round
-/// to `loop_visible_ms`.
+/// to `loop.visible_ms`.
 pub const PROBES: usize = 4;
 /// How long reads may wait for the last published version to appear.
 const VISIBLE_LIMIT: Duration = Duration::from_secs(30);
@@ -504,7 +504,7 @@ fn check_and_measure(
         }
     }
     report.note_distribution("bootstrap commit to visible", "ms", &mut visible);
-    report.put_median("loop_visible_ms", "ms", &mut visible);
+    report.put_median("loop.visible_ms", "ms", &mut visible);
     let mut ack = Samples::from_vec(acks.iter().map(|a| a.from_due_ms).collect());
     report.note_distribution("window ack latency", "ms", &mut ack);
     report.put_median("loop.ack_p50_ms", "ms", &mut ack);
