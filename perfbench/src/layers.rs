@@ -6,6 +6,8 @@
 //!   sequence pooling, TIL + CIL heads) at batch 1 (one served request),
 //!   16 (the training mini-batch) and 32 (one served burst);
 //! * `cdcl-autograd` backward and `cdcl-optim` AdamW of a batch-16 step;
+//! * `cdcl-tensor`'s kernel thread pool: that step on one thread and on
+//!   one per CPU;
 //! * `cdcl-core` predict, features, Eq. 17–19 pseudo-labelling, drift
 //!   scoring and snapshot encode/decode on the trained learner;
 //! * `cdcl-snapshot` atomic write.
@@ -20,10 +22,12 @@ use cdcl_core::{pseudo, CdclTrainer};
 use cdcl_data::{stack, CrossDomainStream, Sample};
 use cdcl_nn::{ConvTokenizer, Encoder, GrowingLinear, Module, SeqPool, TilHeads};
 use cdcl_optim::{AdamW, Optimizer};
+use cdcl_tensor::kernels;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 use std::path::Path;
+use std::time::Instant;
 
 const REPS: usize = 15;
 const BATCHES: [usize; 3] = [1, 16, 32];
@@ -121,8 +125,17 @@ fn forward_pieces(r: &Rig, stream: &CrossDomainStream, report: &mut Report) {
     }
 }
 
-/// Backward and AdamW of one batch-16 self-attention step.
-fn step_pieces(r: &Rig, stream: &CrossDomainStream, report: &mut Report) {
+/// Timings of repeated batch-16 self-attention training steps.
+struct Steps {
+    backward: Samples,
+    adamw: Samples,
+    /// Forward, backward and AdamW together.
+    whole: Samples,
+    /// Bits of each step's loss.
+    losses: Vec<u32>,
+}
+
+fn steps(r: &Rig, stream: &CrossDomainStream) -> Steps {
     let mut params = r.tokenizer.params();
     params.extend(r.encoder.params());
     params.extend(r.pool.params());
@@ -131,8 +144,14 @@ fn step_pieces(r: &Rig, stream: &CrossDomainStream, report: &mut Report) {
     let x = images(stream, 16);
     let labels: Vec<usize> = (0..16).map(|i| i % 2).collect();
     let mut g = Graph::new();
-    let (mut bwd, mut step) = (Samples::new(), Samples::new());
+    let mut out = Steps {
+        backward: Samples::new(),
+        adamw: Samples::new(),
+        whole: Samples::new(),
+        losses: Vec::with_capacity(REPS),
+    };
     for _ in 0..REPS {
+        let t0 = Instant::now();
         g.reset_for_step();
         let xi = g.input(x.clone());
         let tok = r.tokenizer.forward(&mut g, xi);
@@ -141,12 +160,56 @@ fn step_pieces(r: &Rig, stream: &CrossDomainStream, report: &mut Report) {
         let logits = r.til.forward(&mut g, z, 0);
         let lp = g.log_softmax_last(logits);
         let loss = g.nll_loss(lp, &labels);
-        bwd.push(trace::timed("autograd.backward", || g.backward(loss)).1);
-        step.push(trace::timed("optim.adamw_step", || opt.step(1e-4)).1);
+        out.losses.push(g.value(loss).item().to_bits());
+        let ((), ms) = trace::timed("autograd.backward", || g.backward(loss));
+        out.backward.push(ms);
+        let ((), ms) = trace::timed("optim.adamw_step", || opt.step(1e-4));
+        out.adamw.push(ms);
         opt.zero_grad();
+        out.whole.push(t0.elapsed().as_secs_f64() * 1e3);
     }
-    report.put_median("autograd.backward_ms", "ms", &mut bwd);
-    report.put_median("optim.adamw_step_ms", "ms", &mut step);
+    out
+}
+
+/// Backward and AdamW of one batch-16 self-attention step.
+fn step_pieces(r: &Rig, stream: &CrossDomainStream, report: &mut Report) {
+    let mut s = steps(r, stream);
+    report.put_median("autograd.backward_ms", "ms", &mut s.backward);
+    report.put_median("optim.adamw_step_ms", "ms", &mut s.adamw);
+}
+
+/// The kernel thread pool, which every other figure leaves idle
+/// ([`crate::KERNEL_THREADS`] is 1): the same training steps, from the
+/// same initial weights, on one thread and on one per CPU (at least two).
+/// The losses must be bit-identical, as the determinism contract says.
+fn pool_pieces(
+    trainer: &CdclTrainer,
+    stream: &CrossDomainStream,
+    report: &mut Report,
+) -> Result<(), String> {
+    let threads = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .max(2);
+    kernels::set_num_threads(1);
+    let mut serial = steps(&rig(trainer), stream);
+    kernels::set_num_threads(threads);
+    let k0 = kernels::counter_snapshot();
+    let mut pooled = steps(&rig(trainer), stream);
+    let spawns = kernels::counter_snapshot().delta_since(&k0).pool_spawns;
+    kernels::set_num_threads(crate::KERNEL_THREADS);
+    report.put_median("tensor.step_serial_ms", "ms", &mut serial.whole);
+    report.put_median("tensor.step_pool_ms", "ms", &mut pooled.whole);
+    report.put("tensor.pool_spawns", "count", spawns as f64, REPS);
+    report.notes.push(format!(
+        "thread pool: batch-16 step on 1 thread vs {threads}, {spawns} spawns over {REPS} steps"
+    ));
+    if serial.losses != pooled.losses {
+        return Err(format!(
+            "determinism: losses on 1 and {threads} kernel threads differ: {:08x?} vs {:08x?}",
+            serial.losses, pooled.losses
+        ));
+    }
+    Ok(())
 }
 
 /// `cdcl-core` and `cdcl-snapshot` entry points on the trained learner.
@@ -236,5 +299,6 @@ pub fn probe(
     let r = rig(trainer);
     forward_pieces(&r, stream, report);
     step_pieces(&r, stream, report);
+    pool_pieces(trainer, stream, report)?;
     core_pieces(trainer, stream, work, report)
 }

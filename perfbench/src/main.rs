@@ -3,13 +3,14 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- \
-//!     --workload mnist-usps --seed 1 --seconds 20 --trace 0
+//!     --workload mnist-usps --seed 1 --seconds 30 --trace 0
 //! ```
 //!
 //! One run drives the whole pipeline on the workload's stream, in order:
 //! train-stream (in-process `run_stream`), serve-single and serve-burst
 //! (open-loop traffic against a `cdcl-serve` child holding the trained
-//! snapshot), and online-loop (`cdcl-serve --empty-ok` + `cdcl-traind`).
+//! snapshot), and online-loop (a second `cdcl-serve` on that snapshot +
+//! a zero-task `cdcl-traind` that publishes into it).
 //! Every response is checked. The human table goes to stdout first; the
 //! last line is one JSON object with the end-to-end metrics (`--trace 0`)
 //! or the per-layer metrics of the traced run (`--trace 1`).
@@ -44,8 +45,11 @@ pub const PER_LAYER: &[(&str, &str)] = &[
     ("tensor.gemm_calls", "count"),
     ("tensor.gemm_fmas", "count"),
     ("tensor.pool_spawns", "count"),
+    ("tensor.step_serial_ms", "ms"),
+    ("tensor.step_pool_ms", "ms"),
     ("tensor.buf_hit_rate", "ratio"),
     ("tensor.buf_alloc_bytes", "bytes"),
+    ("train.wall_s", "s"),
     ("quality.til_acc_pct", "%"),
     ("quality.cil_acc_pct", "%"),
     ("nn.tokenizer_b1_ms", "ms"),
@@ -80,6 +84,7 @@ pub const PER_LAYER: &[(&str, &str)] = &[
     ("serve.open_p99_ms", "ms"),
     ("serve.max_rps", "rps"),
     ("burst.p90_ms", "ms"),
+    ("burst.reused_p50_ms", "ms"),
     ("serve.inproc_ms", "ms"),
     ("serve.protocol_ms", "ms"),
     ("serve.socket_ms", "ms"),
@@ -115,8 +120,9 @@ const SETUP_REPS: usize = 5;
 /// Kernel threads for every measured process (this one and the daemons).
 /// At the default of one per CPU, `train_s` varies by 14% (quartile
 /// spread) from run to run on a 2-vCPU machine — the kernel pool spawns
-/// threads for every parallel region — against 3% on one thread, so the
-/// benchmark pins one thread to stay inside its bounds.
+/// threads for every parallel region — so the benchmark pins one thread
+/// and times training by that thread's on-CPU time. The thread pool is
+/// measured on its own in the traced run's layer probe.
 pub const KERNEL_THREADS: usize = 1;
 
 struct Args {

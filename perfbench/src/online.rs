@@ -18,10 +18,10 @@
 //! streams the detector misses switches for most seeds.
 
 use crate::daemons::Daemon;
-use crate::inputs::{request_line, Inputs, BOOTSTRAP_WINDOWS, LOOP_TASKS, WINDOWS_PER_TASK};
+use crate::inputs::{request_line, Inputs, Query, BOOTSTRAP_WINDOWS, LOOP_TASKS, WINDOWS_PER_TASK};
 use crate::openloop::{self, Arrival};
 use crate::report::Report;
-use crate::serving::{decode_image, field_f64, field_ok, field_u64};
+use crate::serving::{field_f64, field_ok, field_u64, Expect};
 use crate::stats::Samples;
 use crate::trace;
 use cdcl_core::CdclTrainer;
@@ -105,7 +105,7 @@ fn start_traind(
 struct Read {
     at: Instant,
     id: u64,
-    image: usize,
+    query: Query,
     line: String,
 }
 
@@ -246,7 +246,7 @@ pub fn run(
                     reads.lock().expect("reads lock").push(Read {
                         at,
                         id: k as u64 + 1,
-                        image: inputs.loop_query(k).image,
+                        query: inputs.loop_query(k),
                         line: line.to_string(),
                     });
                     k += 1;
@@ -307,20 +307,6 @@ pub fn run(
     drop(lp);
     let reads = reads.into_inner().expect("reads lock");
     check_and_measure(inputs, served, &probes, &acks, &reads, &read_out, report)
-}
-
-/// Expected CIL argmax of `trainer` on every loop pool image.
-fn expected(trainer: &CdclTrainer, inputs: &Inputs) -> Vec<u64> {
-    let dims = trainer.input_dims();
-    inputs
-        .loop_pool
-        .iter()
-        .map(|img| {
-            let p = trainer.model().predict_cil(&decode_image(&img.json, dims));
-            let d = p.data();
-            (0..d.len()).fold(0, |best, i| if d[i] > d[best] { i } else { best }) as u64
-        })
-        .collect()
 }
 
 fn check_and_measure(
@@ -445,11 +431,11 @@ fn check_and_measure(
 
     // Reads: every one answered, in order, by a version that never goes
     // back, with the argmax of that version's snapshot.
-    let mut expect = vec![expected(served, inputs)];
+    let mut expect = vec![Expect::new(served, &inputs.loop_pool)];
     for r in &published {
         let t =
             CdclTrainer::resume_from(Path::new(&r.path)).map_err(|e| format!("{}: {e}", r.path))?;
-        expect.push(expected(&t, inputs));
+        expect.push(Expect::new(&t, &inputs.loop_pool));
     }
     let mut newest = 1u64;
     let mut first_seen: Vec<Option<Instant>> = vec![None; expect.len() + 1];
@@ -466,7 +452,7 @@ fn check_and_measure(
                 && version >= newest
                 && expect
                     .get((version as usize).wrapping_sub(1))
-                    .is_some_and(|e| field_u64(v, "pred") == Some(e[rd.image]))
+                    .is_some_and(|e| field_u64(v, "pred") == e.pred(rd.query).map(|p| p as u64))
         });
         if !good {
             if bad < 3 {

@@ -2,6 +2,12 @@
 //! configuration over the workload's whole stream, on
 //! [`crate::KERNEL_THREADS`] kernel threads. Its trained learner is the
 //! snapshot the serve phases answer with.
+//!
+//! With one kernel thread every kernel runs on the calling thread, so
+//! `train_s` is that thread's on-CPU time: wall time minus the time it
+//! waited for a CPU, so preemption and run-queue waits drop out of it.
+//! How fast the CPU runs while the thread has it still shows. The wall
+//! time is reported per layer as `train.wall_s`.
 
 use crate::report::Report;
 use crate::stats::Samples;
@@ -50,17 +56,23 @@ pub fn run(
     config.backbone.in_hw = stream.image_layout.1;
     let mut trainer = CdclTrainer::new(config);
     let (k0, p0) = (kernels::counter_snapshot(), pool::pool_stats());
-    let t0 = Instant::now();
+    let (t0, cpu0) = (Instant::now(), thread_cpu_s());
     let result = run_stream(&mut Spanned(&mut trainer), stream);
-    let train_s = t0.elapsed().as_secs_f64();
+    let (wall_s, cpu1) = (t0.elapsed().as_secs_f64(), thread_cpu_s());
     let (k, p) = (
         kernels::counter_snapshot().delta_since(&k0),
         pool::pool_stats().delta_since(&p0),
     );
-    report.put("train_s", "s", train_s, 1);
+    match (cpu0, cpu1) {
+        (Some(a), Some(b)) if k.pool_spawns == 0 => report.put("train_s", "s", b - a, 1),
+        _ => report.fail(format!(
+            "train_s: no on-CPU time of the training thread ({} pool spawns)",
+            k.pool_spawns
+        )),
+    }
+    report.put("train.wall_s", "s", wall_s, 1);
     report.put("tensor.gemm_calls", "count", k.gemm_calls as f64, 1);
     report.put("tensor.gemm_fmas", "count", k.gemm_fmas as f64, 1);
-    report.put("tensor.pool_spawns", "count", k.pool_spawns as f64, 1);
     report.put(
         "tensor.buf_hit_rate",
         "ratio",
@@ -87,19 +99,44 @@ pub fn run(
     trainer
 }
 
-/// Accuracy is a pure function of the seed (the bitwise determinism
-/// contract: thread count, buffer pool and tracing never change it), so
-/// every run of a seed in this checkout — traced or not — must reproduce
-/// the bits the first one recorded.
+/// On-CPU time of the calling thread in seconds: the first field of
+/// `/proc/thread-self/schedstat` (nanoseconds). `None` where the kernel
+/// does not provide it.
+fn thread_cpu_s() -> Option<f64> {
+    let text = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
+    let ns: u64 = text.split_whitespace().next()?.parse().ok()?;
+    Some(ns as f64 / 1e9)
+}
+
+/// Identity of the running build: a hash of this executable's bytes, so a
+/// record only constrains runs of the same code.
+fn build_id() -> Result<String, String> {
+    use std::hash::Hasher;
+    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
+    let bytes = std::fs::read(&exe).map_err(|e| format!("{}: {e}", exe.display()))?;
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    h.write(&bytes);
+    Ok(format!("{:016x}", h.finish()))
+}
+
+/// Accuracy is a pure function of the seed and the code (the bitwise
+/// determinism contract: thread count, buffer pool and tracing never
+/// change it), so every run of a seed by the same build — traced or not —
+/// must reproduce the bits the first one recorded. Records are keyed by
+/// the build, so a change that alters training numerics starts afresh.
 fn check_determinism(records: &Path, key: &str, til: f64, cil: f64, report: &mut Report) {
-    let path = records.join(format!("{key}.acc"));
+    let build = match build_id() {
+        Ok(b) => b,
+        Err(e) => return report.fail(format!("determinism: no build identity: {e}")),
+    };
+    let path = records.join(format!("{key}-{build}.acc"));
     let now = format!("{:016x} {:016x}", til.to_bits(), cil.to_bits());
     match std::fs::read_to_string(&path) {
         Ok(before) if before.trim() == now => report
             .notes
-            .push("accuracy bit-identical to an earlier run of this seed".to_string()),
+            .push("accuracy bit-identical to an earlier run of this seed and build".to_string()),
         Ok(before) => report.fail(format!(
-            "determinism: TIL/CIL bits {now} differ from an earlier run of this seed ({})",
+            "determinism: TIL/CIL bits {now} differ from an earlier run of this seed and build ({})",
             before.trim()
         )),
         Err(_) => {
