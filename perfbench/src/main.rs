@@ -220,8 +220,10 @@ fn run(args: &Args, work: &Path, records: &Path, report: &mut Report) -> Result<
 
     let ((server, snapshot), serve_s) = repeated(|| serve_setup(&trainer, work))?;
     let expect = serving::Expect::new(&trainer, &inputs.pool);
-    serving::single(&server, &inputs, &expect, args.seconds, report, &mut late)?;
-    serving::burst(&server, &inputs, &expect, args.seconds, report)?;
+    serving::single_and_burst(&server, &inputs, &expect, args.seconds, report)?;
+    if args.trace {
+        serving::per_layer(&server, &inputs, &expect, args.seconds, report, &mut late)?;
+    }
     drop(server);
     if args.trace {
         serving::decompose(&snapshot, &inputs, report)?;
@@ -233,9 +235,9 @@ fn run(args: &Args, work: &Path, records: &Path, report: &mut Report) -> Result<
         "set-up medians of {SETUP_REPS}: inputs {gen_s:.4} s, serve start {serve_s:.4} s, loop start {loop_s:.4} s"
     ));
     online::run(lp, &inputs, &trainer, report, &mut late)?;
-    report.put_percentile("gen.late_p99_ms", "ms", &mut late, 99.0);
 
     if args.trace {
+        report.put_percentile("gen.late_p99_ms", "ms", &mut late, 99.0);
         layers::probe(&trainer, &inputs.stream, work, report)?;
     }
     Ok(())

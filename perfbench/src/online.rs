@@ -176,7 +176,7 @@ fn produce(
     let out = openloop::run(
         conn,
         &arrivals,
-        (interval, openloop::OPEN),
+        interval,
         Duration::from_secs(60),
         &never,
         &mut |_, _| {},
@@ -234,7 +234,7 @@ pub fn run(
             openloop::run(
                 conn,
                 &read_arrivals,
-                (interval, openloop::OPEN),
+                interval,
                 Duration::from_secs(60),
                 &stop,
                 &mut |_, line| {

@@ -1,24 +1,28 @@
 //! Fixed-rate load generation that does not measure itself.
 //!
-//! Arrival `i` is due at `t0 + i * interval`. In the open loop
-//! ([`OPEN`]) it is sent then, whatever the server's state: a slow server
-//! builds a queue in the socket, not in the generator. With a bound on the
-//! arrivals in flight, an arrival due while the bound is reached waits for
-//! an answer (a client that waits for its reply). Either way latency is
-//! timed from the due time, so a stalled server
-//! is charged for every arrival scheduled behind the stall, and how late
-//! the generator itself ran is reported separately. Each arrival is one
-//! `write_all` of pre-rendered bytes on a `TCP_NODELAY` socket: no
-//! client-side Nagle delay, and no formatting or parsing inside the timed
-//! path (responses are kept as raw lines and checked after the run).
+//! Arrival `i` is due at `t0 + i * interval`. In the open loop ([`run`])
+//! it is sent then, whatever the server's state: a slow server builds a
+//! queue in the socket, not in the generator. With one arrival in flight
+//! ([`paced`]) an arrival due before the previous one is answered waits
+//! for that answer (a client that waits for its reply). Either way latency
+//! is timed from the due time, so a stalled server is charged for every
+//! arrival scheduled behind the stall, and how late the generator itself
+//! ran is reported separately. Each arrival is one `write_all` of
+//! pre-rendered bytes on a `TCP_NODELAY` socket: no client-side Nagle
+//! delay, and no formatting or parsing inside the timed path (responses
+//! are kept as raw lines and checked after the run).
 //!
-//! Sending and receiving share one thread on a nonblocking socket. A
-//! separate receiver thread is woken across CPUs on every response, and
-//! on small virtual machines that wake-up can wait for the sender's next
-//! timer, adding a whole send interval to every latency; socket read
-//! timeouts round up to the kernel tick (4 ms here). So the thread
-//! sleeps with `nanosleep` until the next due time, or for at most
-//! [`POLL`] while answers are owed, and reads whatever has arrived.
+//! In the open loop, sending and receiving share one thread on a
+//! nonblocking socket. A separate receiver thread is woken across CPUs on
+//! every response, and on small virtual machines that wake-up can wait
+//! for the sender's next timer, adding a whole send interval to every
+//! latency; socket read timeouts round up to the kernel tick (4 ms here).
+//! So the thread sleeps with `nanosleep` until the next due time, or for
+//! at most [`POLL`] while answers are owed, and reads whatever has
+//! arrived. With one arrival in flight there is nothing to send while an
+//! answer is owed, so [`paced`] sleeps in a blocking read instead: it is
+//! woken only by the server's writes, and its polling does not preempt
+//! the server's compute on a machine with few CPUs.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -84,19 +88,16 @@ pub fn connect(addr: &str) -> std::io::Result<TcpStream> {
 /// response's arrival is seen.
 pub const POLL: Duration = Duration::from_micros(50);
 
-/// Arrivals allowed in flight: unbounded is the open loop.
-pub const OPEN: usize = usize::MAX;
-
-/// Sends `arrivals` at one per `interval`, with at most `in_flight`
-/// unanswered, and collects every response. Once `stop` is set no further
-/// arrival is sent, and the run ends when the sent ones are answered.
+/// Sends `arrivals` at one per `interval`, open loop, and collects every
+/// response. Once `stop` is set no further arrival is sent, and the run
+/// ends when the sent ones are answered.
 /// `on_line` sees each response as it arrives. Fails when the server
 /// closes the connection or stays silent for `silence` while answers are
 /// owed.
 pub fn run(
     mut stream: TcpStream,
     arrivals: &[Arrival],
-    (interval, in_flight): (Duration, usize),
+    interval: Duration,
     silence: Duration,
     stop: &AtomicBool,
     on_line: &mut dyn FnMut(u64, &str),
@@ -123,8 +124,7 @@ pub fn run(
         let next_due = interval * sent as u32;
         // ordering: flag — a stop request publishes no other data.
         let sending = sent < arrivals.len() && !stop.load(Ordering::Relaxed);
-        let room = sent - out.done_ns.len() < in_flight;
-        if sending && room && t0.elapsed() >= next_due {
+        if sending && t0.elapsed() >= next_due {
             out.due_ns.push(next_due.as_nanos() as u64);
             out.late_ns
                 .push(t0.elapsed().saturating_sub(next_due).as_nanos() as u64);
@@ -191,7 +191,7 @@ pub fn run(
                 format!("no response for {silence:?} with answers owed"),
             ));
         }
-        let mut nap = if sending && room {
+        let mut nap = if sending {
             next_due.saturating_sub(t0.elapsed())
         } else {
             POLL
@@ -201,6 +201,71 @@ pub fn run(
         }
         std::thread::sleep(nap);
     }
+}
+
+/// Sends `arrivals` at one per `interval` from `t0`, one in flight: each
+/// is sent at its due time, or as soon as the previous one is answered if
+/// that is later, and the thread then sleeps in a blocking read until its
+/// last response line. Fails when the server closes the connection or
+/// stays silent for `silence`.
+pub fn paced(
+    mut stream: &TcpStream,
+    arrivals: &[Arrival],
+    (t0, interval): (Instant, Duration),
+    silence: Duration,
+) -> std::io::Result<Outcome> {
+    stream.set_nonblocking(false)?;
+    stream.set_read_timeout(Some(silence))?;
+    let ns = || Instant::now().saturating_duration_since(t0).as_nanos() as u64;
+    let mut out = Outcome {
+        t0,
+        due_ns: Vec::with_capacity(arrivals.len()),
+        late_ns: Vec::with_capacity(arrivals.len()),
+        done_ns: Vec::with_capacity(arrivals.len()),
+        lines: Vec::with_capacity(arrivals.iter().map(|a| a.responses).sum()),
+    };
+    let mut inbox = Vec::with_capacity(1 << 16);
+    let mut chunk = vec![0u8; 1 << 16];
+    for (i, arrival) in arrivals.iter().enumerate() {
+        let due = t0 + interval * i as u32;
+        std::thread::sleep(due.saturating_duration_since(Instant::now()));
+        out.due_ns.push((due - t0).as_nanos() as u64);
+        out.late_ns
+            .push(Instant::now().saturating_duration_since(due).as_nanos() as u64);
+        stream.write_all(&arrival.bytes)?;
+        let mut owed = arrival.responses;
+        while owed > 0 {
+            let n = match stream.read(&mut chunk) {
+                Ok(0) => {
+                    return Err(std::io::Error::new(
+                        ErrorKind::UnexpectedEof,
+                        "server closed the connection mid-run",
+                    ))
+                }
+                Ok(n) => n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    return Err(std::io::Error::new(
+                        ErrorKind::TimedOut,
+                        format!("no response for {silence:?} with answers owed"),
+                    ))
+                }
+                Err(e) => return Err(e),
+            };
+            let at = ns();
+            inbox.extend_from_slice(&chunk[..n]);
+            let mut start = 0;
+            while let Some(end) = inbox[start..].iter().position(|&b| b == b'\n') {
+                let line = String::from_utf8_lossy(&inbox[start..start + end]).into_owned();
+                start += end + 1;
+                out.lines.push((at, line));
+                owed = owed.saturating_sub(1);
+            }
+            inbox.drain(..start);
+        }
+        out.done_ns.push(ns());
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -244,21 +309,31 @@ mod tests {
     #[test]
     fn a_stall_is_charged_to_every_arrival_queued_behind_it() {
         let (stall, interval) = (Duration::from_millis(120), Duration::from_millis(10));
-        for in_flight in [OPEN, 1] {
+        for open in [true, false] {
             let (addr, h) = stalling_server(stall);
-            let never = AtomicBool::new(false);
-            let mut seen = 0;
-            let out = run(
-                connect(&addr).expect("connect"),
-                &arrivals(20),
-                (interval, in_flight),
-                Duration::from_secs(5),
-                &never,
-                &mut |_, _| seen += 1,
-            )
-            .expect("run");
+            let conn = connect(&addr).expect("connect");
+            let out = if open {
+                let never = AtomicBool::new(false);
+                let mut seen = 0;
+                let out = run(
+                    conn,
+                    &arrivals(20),
+                    interval,
+                    Duration::from_secs(5),
+                    &never,
+                    &mut |_, _| seen += 1,
+                )
+                .expect("run");
+                assert_eq!(seen, 20);
+                out
+            } else {
+                let schedule = (Instant::now(), interval);
+                let out = paced(&conn, &arrivals(20), schedule, Duration::from_secs(5));
+                drop(conn);
+                out.expect("paced")
+            };
             h.join().expect("server");
-            assert_eq!((seen, out.done_ns.len()), (20, 20));
+            assert_eq!(out.done_ns.len(), 20);
             // Arrival i was due i * interval after the first, so it cannot
             // finish before `stall - i * interval` after its own due time.
             let lat = out.latency_ms();
@@ -270,7 +345,7 @@ mod tests {
                 );
             }
             let late = out.late_ms();
-            if in_flight == OPEN {
+            if open {
                 // The open loop kept to its schedule while the server
                 // stalled: the stall shows as latency, not as lateness.
                 assert!(late.iter().all(|l| *l < 8.0), "sender ran late: {late:?}");
@@ -292,7 +367,7 @@ mod tests {
         let out = run(
             connect(&addr).expect("connect"),
             &arrivals(1000),
-            (Duration::from_millis(1), OPEN),
+            Duration::from_millis(1),
             Duration::from_secs(5),
             &stop,
             &mut |_, l| {

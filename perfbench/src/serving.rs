@@ -4,7 +4,7 @@
 
 use crate::daemons::{self, Daemon};
 use crate::inputs::{request_line, Inputs, Mode, Query, BURST};
-use crate::openloop::{self, Arrival, Outcome, OPEN};
+use crate::openloop::{self, Arrival, Outcome};
 use crate::report::Report;
 use crate::stats::Samples;
 use crate::trace;
@@ -23,16 +23,25 @@ use std::time::{Duration, Instant};
 /// fixed cost of one request. With requests pipelined open loop, a
 /// response can wait for the client's next request (see README.md); that
 /// regime is measured at `OPEN_RATE` and reported per layer.
-pub const SINGLE_RATE: f64 = 50.0;
-pub const SINGLE_SHARE: f64 = 0.3;
+pub const SINGLE_RATE: f64 = 200.0;
+pub const SINGLE_SHARE: f64 = 0.4;
+/// serve-burst: bursts per second on a connection per burst, for
+/// `BURST_SHARE` of `--seconds` (`burst_p50_ms`).
+pub const BURST_RATE: f64 = 15.0;
+pub const BURST_SHARE: f64 = 0.45;
+/// The gated serve phases alternate in this many slices.
+pub const SLICES: usize = 10;
 /// Unmeasured requests that bring the long-lived serve-single connection
 /// to its steady state (after its first exchanges the kernel moves it
-/// from immediate to delayed acknowledgements), and unmeasured bursts at
-/// the start of each burst run.
+/// from immediate to delayed acknowledgements), and unmeasured bursts
+/// before the first slice and at the start of the long-lived burst run.
 pub const WARMUP_REQUESTS: usize = 50;
 pub const WARMUP_BURSTS: usize = 5;
-/// Open-loop rate of the per-layer pipelined measurement, and its size:
-/// enough for a p99 with ten samples beyond it.
+/// Percentile reported for bursts: the highest with ten samples beyond it
+/// at the committed `--seconds`.
+pub const BURST_TAIL: f64 = 90.0;
+/// Per-layer regimes of the traced run. Open-loop rate of the pipelined
+/// measurement, and its size: enough for a p99 with ten samples beyond it.
 pub const OPEN_RATE: f64 = 250.0;
 pub const OPEN_REQUESTS: usize = 1000;
 /// `serve.max_rps` is the throughput under an open-loop offer above what
@@ -44,15 +53,9 @@ pub const SATURATION_RATE: f64 = 3000.0;
 pub const SATURATION_REQUESTS: usize = 1000;
 /// Saturation runs, each on a fresh connection; the median is reported.
 pub const SATURATION_RUNS: usize = 3;
-/// serve-burst: bursts per second, for `BURST_SHARE` of `--seconds` on a
-/// connection per burst (`burst_p50_ms`), then for `REUSED_SHARE` open
-/// loop on one long-lived connection (`burst.reused_p50_ms`).
-pub const BURST_RATE: f64 = 15.0;
-pub const BURST_SHARE: f64 = 0.3;
+/// Bursts open loop on one long-lived connection, for `REUSED_SHARE` of
+/// `--seconds` at `BURST_RATE` (`burst.reused_p50_ms`).
 pub const REUSED_SHARE: f64 = 0.1;
-/// Percentile reported for bursts: the highest with ten samples beyond it
-/// at the committed `--seconds`.
-pub const BURST_TAIL: f64 = 90.0;
 
 /// How many arrivals a phase offers at `rate` for `share` of `seconds`.
 pub fn arrivals_for(seconds: u64, share: f64, rate: f64) -> usize {
@@ -203,37 +206,36 @@ pub fn start_server(path: &Path, work: &Path) -> Result<Daemon, String> {
     Daemon::start("serve", &args, work, "MODELS")
 }
 
-/// Offers `arrivals` at `rate` per second on `conn`, at most `in_flight`
-/// at a time.
+/// How long a run waits for an owed answer before it fails.
+const SILENCE: Duration = Duration::from_secs(30);
+
+/// Offers `arrivals` at `rate` per second on `conn`, open loop or one in
+/// flight.
 fn drive(
     server: &Daemon,
     conn: &TcpStream,
     arrivals: &[Arrival],
     rate: f64,
-    in_flight: usize,
+    open: bool,
 ) -> Result<Outcome, String> {
-    let conn = conn.try_clone().map_err(|e| e.to_string())?;
-    let never = AtomicBool::new(false);
     let interval = Duration::from_secs_f64(1.0 / rate);
-    openloop::run(
-        conn,
-        arrivals,
-        (interval, in_flight),
-        Duration::from_secs(30),
-        &never,
-        &mut |_, _| {},
-    )
-    .map_err(|e| format!("{e}; server log: {}", server.log_tail()))
+    let out = if open {
+        let conn = conn.try_clone().map_err(|e| e.to_string())?;
+        let never = AtomicBool::new(false);
+        openloop::run(conn, arrivals, interval, SILENCE, &never, &mut |_, _| {})
+    } else {
+        openloop::paced(conn, arrivals, (Instant::now(), interval), SILENCE)
+    };
+    out.map_err(|e| format!("{e}; server log: {}", server.log_tail()))
 }
 
-/// Single requests, each flushed on its own: one write of the request
-/// line plus the blank line that flushes it.
-fn single_arrivals(inputs: &Inputs, first_id: u64, n: usize) -> (Vec<Arrival>, Vec<(u64, Query)>) {
+/// Single requests `k0..k0 + n`, each flushed on its own: one write of
+/// the request line plus the blank line that flushes it.
+fn single_arrivals(inputs: &Inputs, k0: usize, n: usize) -> (Vec<Arrival>, Vec<(u64, Query)>) {
     let mut arrivals = Vec::with_capacity(n);
     let mut queries = Vec::with_capacity(n);
-    for k in 0..n {
-        let id = first_id + k as u64;
-        let q = inputs.single_query(k);
+    for k in k0..k0 + n {
+        let (id, q) = (k as u64 + 1, inputs.single_query(k));
         let mut line = request_line(id, q, &inputs.pool);
         line.push_str("\n\n");
         arrivals.push(Arrival {
@@ -245,92 +247,26 @@ fn single_arrivals(inputs: &Inputs, first_id: u64, n: usize) -> (Vec<Arrival>, V
     (arrivals, queries)
 }
 
-/// One fixed-rate run of `n` single requests on `conn`.
+/// One fixed-rate run of single requests `k0..k0 + n` on `conn`, open
+/// loop or one in flight.
 fn single_run(
     server: &Daemon,
     conn: &TcpStream,
     inputs: &Inputs,
     expect: &Expect,
-    (rate, n, in_flight): (f64, usize, usize),
+    (rate, k0, n, open): (f64, usize, usize, bool),
     report: &mut Report,
 ) -> Result<Outcome, String> {
-    let (arrivals, queries) = single_arrivals(inputs, 1, n);
-    let out = drive(server, conn, &arrivals, rate, in_flight)
+    let (arrivals, queries) = single_arrivals(inputs, k0, n);
+    let out = drive(server, conn, &arrivals, rate, open)
         .map_err(|e| format!("serve-single at {rate}/s: {e}"))?;
     let bad = verify(&out, &queries, expect, report, "serve-single");
     report.ops(queries.len() as u64, bad);
     Ok(out)
 }
 
-/// serve-single on one long-lived client connection: the reference
-/// rate with one request in flight, the pipelined open loop, then
-/// saturation.
-pub fn single(
-    server: &Daemon,
-    inputs: &Inputs,
-    expect: &Expect,
-    seconds: u64,
-    report: &mut Report,
-    late: &mut Samples,
-) -> Result<(), String> {
-    let _s = trace::span("phase.serve_single");
-    let conn = openloop::connect(&server.addr).map_err(|e| e.to_string())?;
-    single_run(
-        server,
-        &conn,
-        inputs,
-        expect,
-        (SINGLE_RATE, WARMUP_REQUESTS, 1),
-        report,
-    )?;
-    let n = arrivals_for(seconds, SINGLE_SHARE, SINGLE_RATE);
-    let out = single_run(server, &conn, inputs, expect, (SINGLE_RATE, n, 1), report)?;
-    let mut lat = Samples::from_vec(out.latency_ms());
-    report.note_distribution(
-        &format!("serve-single latency at {SINGLE_RATE}/s, one in flight"),
-        "ms",
-        &mut lat,
-    );
-    report.put_median("serve_p50_ms", "ms", &mut lat);
-    report.put_percentile("serve.p90_ms", "ms", &mut lat, 90.0);
-
-    let out = single_run(
-        server,
-        &conn,
-        inputs,
-        expect,
-        (OPEN_RATE, OPEN_REQUESTS, OPEN),
-        report,
-    )?;
-    out.late_ms().into_iter().for_each(|l| late.push(l));
-    let mut lat = Samples::from_vec(out.latency_ms());
-    report.note_distribution(
-        &format!("serve-single latency at {OPEN_RATE}/s, open loop"),
-        "ms",
-        &mut lat,
-    );
-    report.put_median("serve.open_p50_ms", "ms", &mut lat);
-    report.put_percentile("serve.open_p99_ms", "ms", &mut lat, 99.0);
-
-    let mut rps = Samples::new();
-    for _ in 0..SATURATION_RUNS {
-        let conn = openloop::connect(&server.addr).map_err(|e| e.to_string())?;
-        let out = single_run(
-            server,
-            &conn,
-            inputs,
-            expect,
-            (SATURATION_RATE, SATURATION_REQUESTS, OPEN),
-            report,
-        )?;
-        rps.push(out.throughput());
-    }
-    report.note_distribution("serve-single saturation throughput", "rps", &mut rps);
-    report.put_median("serve.max_rps", "rps", &mut rps);
-    Ok(())
-}
-
 /// The server's counters that the burst phase reads deltas of.
+#[derive(Default)]
 struct ServeCounters {
     requests: f64,
     batches: f64,
@@ -371,65 +307,115 @@ fn burst_arrival(inputs: &Inputs, b: usize, first_id: u64) -> (Arrival, Vec<(u64
     (arrival, queries)
 }
 
-/// serve-burst: each arrival is one write of `BURST` pipelined requests,
-/// which the server flushes together at its `--max-batch`. Each burst
-/// goes on a connection of its own, opened and accepted before the burst
-/// is due (connect time stays out of the figure). A fresh connection
+/// Bursts `bursts` at `BURST_RATE`, each one write of `BURST` pipelined
+/// requests, which the server flushes together at its `--max-batch`. Each
+/// burst goes on a connection of its own, opened and accepted before the
+/// burst is due (connect time stays out of the figure). A fresh connection
 /// still acknowledges at once, so the tail of a response larger than the
 /// server's write buffer is not held until the client's next burst; on a
-/// long-lived connection it is, and `burst_p50_ms` would read the burst
-/// interval. That regime is measured after, on one long-lived connection,
-/// and reported per layer (`burst.reused_p50_ms`).
-pub fn burst(
+/// long-lived connection it is, and the figure would read the burst
+/// interval (that regime is `burst.reused_p50_ms`, in [`per_layer`]).
+/// Pushes each burst's latency from its due time to its last response,
+/// and adds the server's counter deltas to `counters`.
+fn burst_run(
+    server: &Daemon,
+    inputs: &Inputs,
+    expect: &Expect,
+    bursts: std::ops::Range<usize>,
+    report: &mut Report,
+    (lat, counters): (&mut Samples, &mut ServeCounters),
+) -> Result<(), String> {
+    let interval = Duration::from_secs_f64(1.0 / BURST_RATE);
+    let before = serve_counters(&server.addr)?;
+    let mut conn = openloop::connect(&server.addr).map_err(|e| e.to_string())?;
+    let t0 = Instant::now() + interval;
+    for (i, b) in bursts.enumerate() {
+        let (arrival, queries) = burst_arrival(inputs, b, 1);
+        let schedule = (t0 + interval * i as u32, interval);
+        let out = openloop::paced(&conn, std::slice::from_ref(&arrival), schedule, SILENCE)
+            .map_err(|e| format!("serve-burst: {e}; server log: {}", server.log_tail()))?;
+        // The next burst's connection, opened while this one closes.
+        conn = openloop::connect(&server.addr).map_err(|e| e.to_string())?;
+        let bad = verify(&out, &queries, expect, report, "serve-burst");
+        report.ops(queries.len() as u64, bad);
+        lat.push(out.latency_ms()[0]);
+    }
+    drop(conn);
+    let after = serve_counters(&server.addr)?;
+    counters.requests += after.requests - before.requests;
+    counters.batches += after.batches - before.batches;
+    counters.flushes += after.flushes - before.flushes;
+    Ok(())
+}
+
+/// serve-single and serve-burst, the gated serve phases. After warm-up
+/// they alternate in `SLICES` slices: each median then spans the whole
+/// serve period, so a passing slowdown of the host lands in a few slices
+/// of both rather than in all of one. serve-single runs on one
+/// long-lived client connection at the reference rate with one request
+/// in flight; serve-burst on a connection per burst ([`burst_run`]).
+pub fn single_and_burst(
     server: &Daemon,
     inputs: &Inputs,
     expect: &Expect,
     seconds: u64,
     report: &mut Report,
 ) -> Result<(), String> {
-    let _s = trace::span("phase.serve_burst");
-    let n = WARMUP_BURSTS + arrivals_for(seconds, BURST_SHARE, BURST_RATE);
-    let interval = Duration::from_secs_f64(1.0 / BURST_RATE);
-    let before = serve_counters(&server.addr)?;
-    let mut lat = Samples::new();
-    let mut conn = openloop::connect(&server.addr).map_err(|e| e.to_string())?;
-    let t0 = Instant::now() + interval;
-    for b in 0..n {
-        let (arrival, queries) = burst_arrival(inputs, b, 1);
-        let due = t0 + interval * b as u32;
-        std::thread::sleep(due.saturating_duration_since(Instant::now()));
-        let out = drive(server, &conn, std::slice::from_ref(&arrival), BURST_RATE, 1)
-            .map_err(|e| format!("serve-burst: {e}"))?;
-        // The next burst's connection, opened while this one closes.
-        conn = openloop::connect(&server.addr).map_err(|e| e.to_string())?;
-        let bad = verify(&out, &queries, expect, report, "serve-burst");
-        report.ops(queries.len() as u64, bad);
-        if b >= WARMUP_BURSTS {
-            let waited = out.t0.saturating_duration_since(due).as_secs_f64() * 1e3;
-            lat.push(waited + out.latency_ms()[0]);
-        }
+    let conn = openloop::connect(&server.addr).map_err(|e| e.to_string())?;
+    let singles = arrivals_for(seconds, SINGLE_SHARE, SINGLE_RATE) / SLICES;
+    let bursts = arrivals_for(seconds, BURST_SHARE, BURST_RATE) / SLICES;
+    let (mut single_lat, mut burst_lat) = (Samples::new(), Samples::new());
+    let mut counters = ServeCounters::default();
+    {
+        let _s = trace::span("phase.serve_warmup");
+        let warm = (SINGLE_RATE, 0, WARMUP_REQUESTS, false);
+        single_run(server, &conn, inputs, expect, warm, report)?;
+        let unused = (&mut Samples::new(), &mut ServeCounters::default());
+        burst_run(server, inputs, expect, 0..WARMUP_BURSTS, report, unused)?;
     }
-    drop(conn);
-    let after = serve_counters(&server.addr)?;
+    for s in 0..SLICES {
+        {
+            let _s = trace::span("phase.serve_single");
+            let k0 = WARMUP_REQUESTS + s * singles;
+            let run = (SINGLE_RATE, k0, singles, false);
+            let out = single_run(server, &conn, inputs, expect, run, report)?;
+            out.latency_ms()
+                .into_iter()
+                .for_each(|l| single_lat.push(l));
+        }
+        let _s = trace::span("phase.serve_burst");
+        let b0 = WARMUP_BURSTS + s * bursts;
+        let sinks = (&mut burst_lat, &mut counters);
+        burst_run(server, inputs, expect, b0..b0 + bursts, report, sinks)?;
+    }
+    report.note_distribution(
+        &format!("serve-single latency at {SINGLE_RATE}/s, one in flight"),
+        "ms",
+        &mut single_lat,
+    );
+    report.put_median("serve_p50_ms", "ms", &mut single_lat);
+    report.put_percentile("serve.p90_ms", "ms", &mut single_lat, 90.0);
     report.note_distribution(
         &format!("serve-burst latency at {BURST_RATE}/s, a connection per burst"),
         "ms",
-        &mut lat,
+        &mut burst_lat,
     );
-    report.put_median("burst_p50_ms", "ms", &mut lat);
+    report.put_median("burst_p50_ms", "ms", &mut burst_lat);
     report.put_percentile(
         &format!("burst.p{BURST_TAIL}_ms"),
         "ms",
-        &mut lat,
+        &mut burst_lat,
         BURST_TAIL,
     );
-
-    let batches = after.batches - before.batches;
-    let flushes = after.flushes - before.flushes;
+    let ServeCounters {
+        requests,
+        batches,
+        flushes,
+    } = counters;
     report.put(
         "serve.batch_size_mean",
         "requests",
-        (after.requests - before.requests) / batches.max(1.0),
+        requests / batches.max(1.0),
         batches as usize,
     );
     report.put(
@@ -438,8 +424,44 @@ pub fn burst(
         batches / flushes.max(1.0),
         flushes as usize,
     );
+    Ok(())
+}
 
-    // The same bursts open loop on one long-lived connection.
+/// The serve regimes reported only per layer (traced run): single
+/// requests pipelined open loop at `OPEN_RATE`, saturation throughput,
+/// and bursts open loop on one long-lived connection.
+pub fn per_layer(
+    server: &Daemon,
+    inputs: &Inputs,
+    expect: &Expect,
+    seconds: u64,
+    report: &mut Report,
+    late: &mut Samples,
+) -> Result<(), String> {
+    let _s = trace::span("phase.serve_per_layer");
+    let conn = openloop::connect(&server.addr).map_err(|e| e.to_string())?;
+    let open = (OPEN_RATE, 0, OPEN_REQUESTS, true);
+    let out = single_run(server, &conn, inputs, expect, open, report)?;
+    out.late_ms().into_iter().for_each(|l| late.push(l));
+    let mut lat = Samples::from_vec(out.latency_ms());
+    report.note_distribution(
+        &format!("serve-single latency at {OPEN_RATE}/s, open loop"),
+        "ms",
+        &mut lat,
+    );
+    report.put_median("serve.open_p50_ms", "ms", &mut lat);
+    report.put_percentile("serve.open_p99_ms", "ms", &mut lat, 99.0);
+
+    let mut rps = Samples::new();
+    for _ in 0..SATURATION_RUNS {
+        let conn = openloop::connect(&server.addr).map_err(|e| e.to_string())?;
+        let saturate = (SATURATION_RATE, 0, SATURATION_REQUESTS, true);
+        let out = single_run(server, &conn, inputs, expect, saturate, report)?;
+        rps.push(out.throughput());
+    }
+    report.note_distribution("serve-single saturation throughput", "rps", &mut rps);
+    report.put_median("serve.max_rps", "rps", &mut rps);
+
     let (mut arrivals, mut queries) = (Vec::new(), Vec::new());
     for b in 0..WARMUP_BURSTS + arrivals_for(seconds, REUSED_SHARE, BURST_RATE) {
         let (a, q) = burst_arrival(inputs, b, (b * BURST) as u64 + 1);
@@ -447,7 +469,7 @@ pub fn burst(
         queries.extend(q);
     }
     let conn = openloop::connect(&server.addr).map_err(|e| e.to_string())?;
-    let out = drive(server, &conn, &arrivals, BURST_RATE, OPEN)
+    let out = drive(server, &conn, &arrivals, BURST_RATE, true)
         .map_err(|e| format!("serve-burst, one connection: {e}"))?;
     let bad = verify(
         &out,
