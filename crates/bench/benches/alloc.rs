@@ -3,10 +3,14 @@
 //! Drives a realistic forward + backward + SGD step — conv tokenizer,
 //! attention encoder, TIL head, nll loss — through a *persistent*
 //! [`Graph`] with `reset_for_step` between iterations, exactly like the
-//! trainer's step loop, and measures the tensor-pool counters:
+//! trainer's step loop, and measures the tensor-pool counters plus the real
+//! heap traffic:
 //!
 //! * `allocs_per_step` / `alloc_bytes_per_step` — pool misses after
 //!   warm-up (the zero-alloc contract: ~0 once every shape has been seen);
+//! * `heap_allocs_per_step` — every heap allocation the step makes, counted
+//!   by a wrapping global allocator: pool misses plus per-op bookkeeping
+//!   (shape vectors, tape nodes, stride plans), which the pool never sees;
 //! * `pool_hit_rate` — fraction of buffer requests recycled in the
 //!   measured window;
 //! * `resident_bytes` — what the free lists pin at steady state;
@@ -16,16 +20,56 @@
 //! Writes `BENCH_alloc.json` at the workspace root; CI soft-gates it with
 //! `bench-diff` (hit rate must not drop, allocs/step must not rise).
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use cdcl_autograd::Graph;
 use cdcl_nn::{AttentionMode, Backbone, BackboneConfig, Module, TilHeads};
 use cdcl_optim::{Optimizer, Sgd};
-use cdcl_tensor::{pool, Tensor};
+use cdcl_tensor::{kernels, pool, Tensor};
 use criterion::{black_box, criterion_group, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::Serialize;
+
+/// Counts every allocation request (fresh, zeroed, or a `realloc`) and
+/// forwards it to the system allocator.
+struct Counting;
+
+static HEAP_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // ordering: stat — a plain event count, read after the measured steps.
+        HEAP_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // ordering: stat — see `alloc`.
+        HEAP_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // ordering: stat — see `alloc`.
+        HEAP_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn heap_allocs() -> u64 {
+    // ordering: stat — see `Counting::alloc`.
+    HEAP_ALLOCS.load(Ordering::Relaxed)
+}
 
 const BATCH: usize = 8;
 const HW: usize = 16;
@@ -95,6 +139,7 @@ struct ModeResult {
     mode: String,
     allocs_per_step: f64,
     alloc_bytes_per_step: f64,
+    heap_allocs_per_step: f64,
     pool_hit_rate: f64,
     resident_bytes: f64,
 }
@@ -112,23 +157,29 @@ struct Report {
 }
 
 /// Runs warm-up then measured steps at the given pool setting and returns
-/// the per-step counter deltas over the measured window.
+/// the per-step counter deltas over the measured window. Kernels run on one
+/// thread so worker start-up does not mix into the heap count.
 fn profile(pooled: bool) -> ModeResult {
     pool::set_enabled(pooled);
+    kernels::set_num_threads(1);
     let mut r = rig();
     for _ in 0..WARMUP_STEPS {
         black_box(step(&mut r));
     }
     let before = pool::pool_stats();
+    let heap_before = heap_allocs();
     for _ in 0..MEASURED_STEPS {
         black_box(step(&mut r));
     }
+    let heap = heap_allocs() - heap_before;
     let delta = pool::pool_stats().delta_since(&before);
     pool::set_enabled(true);
+    kernels::set_num_threads(0);
     ModeResult {
         mode: if pooled { "pooled" } else { "unpooled" }.to_string(),
         allocs_per_step: delta.misses as f64 / MEASURED_STEPS as f64,
         alloc_bytes_per_step: delta.alloc_bytes as f64 / MEASURED_STEPS as f64,
+        heap_allocs_per_step: heap as f64 / MEASURED_STEPS as f64,
         pool_hit_rate: delta.hit_rate(),
         resident_bytes: delta.resident_bytes as f64,
     }
@@ -158,8 +209,10 @@ fn emit_json() {
         embed_dim: EMBED,
         warmup_steps: WARMUP_STEPS,
         measured_steps: MEASURED_STEPS,
-        note: "pool counters over the measured window; unpooled mode counts every \
-               buffer as a miss (the allocation volume the pool recycles)"
+        note: "pool counters over the measured window on one kernel thread; unpooled \
+               mode counts every buffer as a miss (the allocation volume the pool \
+               recycles); heap_allocs_per_step counts every heap allocation, pool \
+               misses included"
             .to_string(),
         results,
     };

@@ -122,7 +122,11 @@ impl TaskKeyBank {
     /// `[b, 1, n]` ready to broadcast onto attention scores.
     pub fn project_bias(&self, g: &mut Graph, x: Var, task: usize) -> Var {
         let b = self.biases[self.slot(task)].forward(g, x); // [b, n, 1]
-        g.transpose_last2(b) // [b, 1, n]
+        let s = g.value(b).shape();
+        let (batch, n) = (s[0], s[1]);
+        // [b, n, 1] and [b, 1, n] hold the same elements in the same order,
+        // so a reshape stands in for a transpose copy.
+        g.reshape(b, &[batch, 1, n])
     }
 
     /// Parameters of every *retired* task slot — all `(K_i, b_i)` pairs

@@ -6,16 +6,18 @@ use rand::Rng;
 
 use crate::pool::PooledBuf;
 use crate::shape::{
-    broadcast_shapes, broadcast_strides, num_elements, offset_of, strides_for, unravel, Shape,
+    broadcast_shapes, broadcast_strides, num_elements, offset_of, strides_for, Runs, Shape,
 };
 
 /// A dense, contiguous, row-major `f32` tensor.
 ///
-/// All operations allocate fresh output tensors; in-place variants are
-/// provided where training loops need them (`add_assign_scaled`, `fill`).
-/// Storage lives in a [`PooledBuf`], so "allocate" usually means "pop a
-/// recycled buffer from the size-classed pool" (see `pool` module /
-/// DESIGN.md §12) — dropping a tensor returns its bytes for the next step.
+/// Operations return new output tensors, but their storage is a
+/// [`PooledBuf`] popped from the size-classed buffer pool, so a warmed
+/// training step recycles every output buffer instead of heap-allocating
+/// it (see `pool` module / DESIGN.md §12); dropping a tensor returns its
+/// bytes for the next step. In-place variants exist where training loops
+/// need them (`add_assign_scaled`, `fill`). Broadcasting ops walk strided
+/// runs and allocate nothing per element (DESIGN.md §7).
 pub struct Tensor {
     data: PooledBuf,
     shape: Shape,
@@ -309,6 +311,9 @@ impl Tensor {
     // Element-wise arithmetic (broadcasting)
     // ---------------------------------------------------------------------
 
+    /// Applies `f` element-wise under broadcasting. Unequal shapes walk the
+    /// output in contiguous runs (`shape::Runs`), reading each operand
+    /// through its broadcast strides.
     fn binary(&self, rhs: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         if self.shape == rhs.shape {
             // Fast path: same shape, tight loop over a recycled buffer.
@@ -321,14 +326,38 @@ impl Tensor {
         let out_shape = broadcast_shapes(&self.shape, &rhs.shape);
         let sa = broadcast_strides(&self.shape, &out_shape);
         let sb = broadcast_strides(&rhs.shape, &out_shape);
-        let n = num_elements(&out_shape);
-        let mut data = PooledBuf::take_uninit(n);
-        for (flat, o) in data.iter_mut().enumerate() {
-            let idx = unravel(flat, &out_shape);
-            let a = self.data[offset_of(&idx, &sa)];
-            let b = rhs.data[offset_of(&idx, &sb)];
-            *o = f(a, b);
-        }
+        let mut data = PooledBuf::take_uninit(num_elements(&out_shape));
+        let (a, b) = (&self.data[..], &rhs.data[..]);
+        let runs = Runs::new(&out_shape, [&sa, &sb]);
+        let (len, step) = (runs.len, runs.step);
+        runs.for_each(|flat, [oa, ob]| {
+            let out = &mut data[flat..flat + len];
+            match step {
+                [1, 1] => {
+                    let (xs, ys) = (&a[oa..oa + len], &b[ob..ob + len]);
+                    for ((o, x), y) in out.iter_mut().zip(xs).zip(ys) {
+                        *o = f(*x, *y);
+                    }
+                }
+                [1, 0] => {
+                    let y = b[ob];
+                    for (o, x) in out.iter_mut().zip(&a[oa..oa + len]) {
+                        *o = f(*x, y);
+                    }
+                }
+                [0, 1] => {
+                    let x = a[oa];
+                    for (o, y) in out.iter_mut().zip(&b[ob..ob + len]) {
+                        *o = f(x, *y);
+                    }
+                }
+                [ia, ib] => {
+                    for (j, o) in out.iter_mut().enumerate() {
+                        *o = f(a[oa + j * ia], b[ob + j * ib]);
+                    }
+                }
+            }
+        });
         Tensor::from_buf(data, &out_shape)
     }
 
@@ -398,10 +427,33 @@ impl Tensor {
         }
         let mut out = Tensor::zeros(target);
         let st = broadcast_strides(target, &self.shape);
-        for flat in 0..self.len() {
-            let idx = unravel(flat, &self.shape);
-            out.data[offset_of(&idx, &st)] += self.data[flat];
-        }
+        let src = &self.data[..];
+        let runs = Runs::new(&self.shape, [&st]);
+        let (len, step) = (runs.len, runs.step);
+        // Runs and the elements inside them come in ascending flat order,
+        // so each accumulator adds its sources in the same sequence as an
+        // element-by-element loop: the rounding chain (and the bits) match.
+        runs.for_each(|flat, [ot]| {
+            let run = &src[flat..flat + len];
+            match step {
+                [0] => {
+                    let acc = &mut out.data[ot];
+                    for v in run {
+                        *acc += v;
+                    }
+                }
+                [1] => {
+                    for (o, v) in out.data[ot..ot + len].iter_mut().zip(run) {
+                        *o += v;
+                    }
+                }
+                [s] => {
+                    for (j, v) in run.iter().enumerate() {
+                        out.data[ot + j * s] += v;
+                    }
+                }
+            }
+        });
         out
     }
 
